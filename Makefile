@@ -17,7 +17,7 @@ BENCH_COUNT ?= 1
 BENCH_CPUS ?= 1,4,8
 BENCH_THRESHOLD ?= 15
 
-.PHONY: all build test check lint cover bench bench-text bench-smoke bench-record bench-compare bench-storage bench-rules bench-ged bench-query ged-smoke repl-smoke torture clean
+.PHONY: all build test check fuzz lint cover bench bench-text bench-smoke bench-record bench-compare bench-storage bench-rules bench-ged bench-query ged-smoke repl-smoke torture clean
 
 all: build
 
@@ -28,10 +28,22 @@ test: build
 	$(GO) test ./...
 
 # check is the full gate: vet plus the whole suite under the race
-# detector (the concurrency stress tests only mean something with -race).
+# detector (the concurrency stress tests only mean something with -race),
+# then vet and tests of the nested e2ebench module, which the root ./...
+# does not reach but which builds against the facade.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+
+# fuzz runs each codec fuzz target for FUZZ_TIME: arbitrary bytes through
+# every decoder (value, occurrence, object record, name map, frame, log
+# record) and encode->decode of every atomic value kind. go test accepts
+# one -fuzz target per run.
+FUZZ_TIME ?= 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZ_TIME) ./internal/codec
+	$(GO) test -run '^$$' -fuzz '^FuzzValueRoundTrip$$' -fuzztime $(FUZZ_TIME) ./internal/codec
 
 # torture runs the crash-torture harness: TORTURE_ITERS seeded kill-point
 # iterations against the storage manager, each reopened and verified

@@ -264,7 +264,7 @@ func BenchmarkE4_OnlineVsBatch(b *testing.B) {
 	})
 	b.Run("signalbatch", func(b *testing.B) {
 		// The same stream injected through SignalBatch directly: one graph
-		// lock per stream instead of one per occurrence, and no gob
+		// lock per stream instead of one per occurrence, and no log
 		// round-trip, isolating the batching win from the decode cost.
 		stream := make([]event.Occurrence, streamLen)
 		for i := range stream {

@@ -80,7 +80,9 @@ func main() {
 	if err := tx.Commit(); err != nil {
 		log.Fatal(err)
 	}
-	stopRecording()
+	if err := stopRecording(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("online phase recorded %d bytes of event log\n", logBuf.Len())
 
 	// ---- Batch phase: a fresh database, a rule defined AFTER the fact,

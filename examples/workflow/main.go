@@ -38,7 +38,7 @@ func main() {
 	}
 
 	// 2. The order application.
-	orders, err := sentinel.Open(sentinel.Options{AppName: "orders", GEDAddr: addr, SerialRules: true})
+	orders, err := sentinel.Open(sentinel.Options{AppName: "orders", GEDAddrs: []string{addr}, SerialRules: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +64,7 @@ class ORDER reactive {
 	}
 
 	// 3. The shipping application.
-	shipping, err := sentinel.Open(sentinel.Options{AppName: "shipping", GEDAddr: addr, SerialRules: true})
+	shipping, err := sentinel.Open(sentinel.Options{AppName: "shipping", GEDAddrs: []string{addr}, SerialRules: true})
 	if err != nil {
 		log.Fatal(err)
 	}

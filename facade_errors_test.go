@@ -23,7 +23,7 @@ func TestOpenBadDirectory(t *testing.T) {
 }
 
 func TestOpenBadGEDAddr(t *testing.T) {
-	if _, err := sentinel.Open(sentinel.Options{GEDAddr: "127.0.0.1:1"}); err == nil {
+	if _, err := sentinel.Open(sentinel.Options{GEDAddrs: []string{"127.0.0.1:1"}}); err == nil {
 		t.Fatal("Open with dead GED succeeded")
 	}
 }

@@ -162,7 +162,9 @@ func TestRecordAndReplayThroughFacade(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	stop()
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
 	if buf.Len() == 0 {
 		t.Fatal("nothing recorded")
 	}
@@ -179,6 +181,51 @@ func TestRecordAndReplayThroughFacade(t *testing.T) {
 	}
 	if n == 0 || runs != 3 {
 		t.Fatalf("replayed=%d rule runs=%d", n, runs)
+	}
+}
+
+// failAfter accepts n writes, then fails every write.
+type failAfter struct {
+	bytes.Buffer
+	n int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errDiskFull
+	}
+	w.n--
+	return w.Buffer.Write(p)
+}
+
+// TestRecordEventsReportsWriteError: a writer that fails mid-recording
+// must surface its error from stop, and the log must hold exactly the
+// occurrences written before the failure.
+func TestRecordEventsReportsWriteError(t *testing.T) {
+	online := openStockDB(t, "")
+	w := &failAfter{n: 2}
+	stop, err := online.RecordEvents(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, _ := online.Begin()
+	obj, _ := online.New(tx, "STOCK", map[string]any{"qty": 10})
+	for i := 0; i < 4; i++ {
+		if _, err := online.Invoke(tx, obj, "sell_stock", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("stop() = %v, want the writer's error", err)
+	}
+	batch := openStockDB(t, "")
+	if n, err := batch.ReplayLog(&w.Buffer); err != nil || n != 2 {
+		t.Fatalf("replayed %d (err %v), want the 2 occurrences written before the failure", n, err)
 	}
 }
 

@@ -1,69 +1,31 @@
 package detector
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 
+	"repro/internal/codec"
 	"repro/internal/event"
 )
 
 // EventLog records primitive event occurrences so composite events can be
 // detected in batch mode, after the fact, over exactly the same graph that
 // online detection uses (§2.1 "online and batch detection of events").
-// Occurrences are gob-encoded, one stream per log.
+// Each occurrence is one codec log record, the format the GED
+// contribution log uses, so batch replay and GED replay read one format.
 type EventLog struct {
 	w   io.Writer
-	enc *gob.Encoder
+	buf []byte
 	n   int
-}
-
-// loggedOcc is the serialized form: composite constituents are never
-// logged (only primitives enter a log), so a flat record suffices.
-type loggedOcc struct {
-	Name     string
-	Kind     event.Kind
-	Class    string
-	Method   string
-	Modifier event.Modifier
-	Object   event.OID
-	Params   []loggedParam
-	Seq      uint64
-	Time     uint64
-	Txn      uint64
-	App      string
-}
-
-type loggedParam struct {
-	Name  string
-	Value any
-}
-
-func init() {
-	// Parameter values are restricted to atomic types; register them all
-	// so gob can round-trip the any-typed Value field.
-	gob.Register(int(0))
-	gob.Register(int8(0))
-	gob.Register(int16(0))
-	gob.Register(int32(0))
-	gob.Register(int64(0))
-	gob.Register(uint(0))
-	gob.Register(uint8(0))
-	gob.Register(uint16(0))
-	gob.Register(uint32(0))
-	gob.Register(uint64(0))
-	gob.Register(float32(0))
-	gob.Register(float64(0))
-	gob.Register(false)
-	gob.Register("")
-	gob.Register(event.OID(0))
+	err error // first Recorder append error; sticky
 }
 
 // NewEventLog creates a log writing to w.
 func NewEventLog(w io.Writer) *EventLog {
-	return &EventLog{w: w, enc: gob.NewEncoder(w)}
+	return &EventLog{w: w}
 }
 
 // Append records one primitive occurrence.
@@ -71,22 +33,12 @@ func (l *EventLog) Append(occ *event.Occurrence) error {
 	if occ.IsComposite() {
 		return errors.New("detector: composite occurrences are not logged")
 	}
-	rec := loggedOcc{
-		Name:     occ.Name,
-		Kind:     occ.Kind,
-		Class:    occ.Class,
-		Method:   occ.Method,
-		Modifier: occ.Modifier,
-		Object:   occ.Object,
-		Seq:      occ.Seq,
-		Time:     occ.Time,
-		Txn:      occ.Txn,
-		App:      occ.App,
+	rec, err := codec.AppendLogRecord(l.buf[:0], occ)
+	l.buf = rec
+	if err == nil {
+		_, err = l.w.Write(rec)
 	}
-	for _, p := range occ.Params {
-		rec.Params = append(rec.Params, loggedParam{p.Name, p.Value})
-	}
-	if err := l.enc.Encode(&rec); err != nil {
+	if err != nil {
 		return fmt.Errorf("detector: append event log: %w", err)
 	}
 	l.n++
@@ -101,13 +53,18 @@ func (l *EventLog) Len() int { return l.n }
 // application's event stream for later batch analysis. The raw trace
 // point fires before subscriber routing, so the log is complete even for
 // events nothing was subscribed to at recording time.
+// The first append error is kept: later occurrences are not written,
+// so the log stays a prefix of the stream, and Err reports the failure.
 func (l *EventLog) Recorder() Tracer {
 	return tracerFunc(func(kind TraceKind, occ *event.Occurrence, _ Context, _ string) {
-		if kind == TraceRaw && occ != nil && !occ.IsComposite() {
-			_ = l.Append(occ)
+		if kind == TraceRaw && occ != nil && !occ.IsComposite() && l.err == nil {
+			l.err = l.Append(occ)
 		}
 	})
 }
+
+// Err returns the first error a Recorder hit appending to the log.
+func (l *EventLog) Err() error { return l.err }
 
 type tracerFunc func(kind TraceKind, occ *event.Occurrence, ctx Context, node string)
 
@@ -127,7 +84,7 @@ const replayChunk = 256
 // lock is taken once per chunk instead of once per occurrence. It returns
 // the number of occurrences replayed.
 func Replay(r io.Reader, d *Detector) (int, error) {
-	dec := gob.NewDecoder(r)
+	br := bufio.NewReader(r)
 	n := 0
 	batch := make([]event.Occurrence, 0, replayChunk)
 	flush := func() error {
@@ -136,9 +93,14 @@ func Replay(r io.Reader, d *Detector) (int, error) {
 		batch = batch[:0]
 		return err
 	}
+	var buf []byte
 	for {
-		var rec loggedOcc
-		if err := dec.Decode(&rec); err != nil {
+		var occ *event.Occurrence
+		var err error
+		if buf, err = codec.ReadLogRecord(br, buf); err == nil {
+			occ, err = codec.DecodeOccurrence(buf)
+		}
+		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return n, flush()
 			}
@@ -147,28 +109,13 @@ func Replay(r io.Reader, d *Detector) (int, error) {
 			}
 			return n, fmt.Errorf("detector: replay event log: %w", err)
 		}
-		occ := event.Occurrence{
-			Name:     rec.Name,
-			Kind:     rec.Kind,
-			Class:    rec.Class,
-			Method:   rec.Method,
-			Modifier: rec.Modifier,
-			Object:   rec.Object,
-			Seq:      rec.Seq,
-			Time:     rec.Time,
-			Txn:      rec.Txn,
-			App:      rec.App,
-		}
-		if rec.Kind == event.KindMethod {
+		if occ.Kind == event.KindMethod {
 			// Logged method events replay through the signature path, as
 			// they were signalled originally (SignalBatch routes unnamed
 			// method occurrences through signalMethodLocked).
 			occ.Name = ""
 		}
-		for _, p := range rec.Params {
-			occ.Params = append(occ.Params, event.Param{Name: p.Name, Value: p.Value})
-		}
-		batch = append(batch, occ)
+		batch = append(batch, *occ)
 		if len(batch) == replayChunk {
 			if err := flush(); err != nil {
 				return n, err

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/detector"
 	"repro/internal/event"
 )
@@ -41,7 +42,7 @@ type Client struct {
 	conn net.Conn
 
 	wmu      sync.Mutex
-	fw       *frameWriter
+	fw       *codec.FrameWriter
 	lastSeq  uint64 // last contribute seq sent (under wmu)
 	sendDead bool   // goodbye received or connection failed
 
@@ -104,7 +105,7 @@ func Dial(addr, app string) (*Client, error) {
 	c := &Client{
 		app:        app,
 		conn:       conn,
-		fw:         newFrameWriter(conn),
+		fw:         codec.NewFrameWriter(conn, maxFrame),
 		subs:       make(map[uint32]*clientSub),
 		subAcks:    make(map[uint32]chan uint64),
 		helloReady: make(chan struct{}),
@@ -149,17 +150,17 @@ func (c *Client) setErr(err error) {
 }
 
 // send frames and flushes one message.
-func (c *Client) send(kind frameKind, payload []byte) error {
+func (c *Client) send(kind byte, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.sendDead {
 		return ErrClosed
 	}
-	if err := c.fw.writeFrame(kind, payload); err != nil {
+	if err := c.fw.WriteFrame(kind, payload); err != nil {
 		c.sendDead = true
 		return err
 	}
-	return c.fw.flush()
+	return c.fw.Flush()
 }
 
 // Partition reports the server's slot in a partitioned deployment, as
@@ -234,9 +235,9 @@ func (c *Client) recvLoop() {
 		c.dispMu.Unlock()
 		c.dispCond.Signal()
 	}()
-	fr := newFrameReader(c.conn)
+	fr := codec.NewFrameReader(c.conn, maxFrame)
 	for {
-		kind, payload, err := fr.readFrame()
+		kind, payload, err := fr.ReadFrame()
 		if err != nil {
 			return
 		}
@@ -351,11 +352,11 @@ func (c *Client) ContributeBatch(occs []event.Occurrence) error {
 	if err != nil {
 		return err
 	}
-	if err := c.fw.writeFrame(frContribute, payload); err != nil {
+	if err := c.fw.WriteFrame(frContribute, payload); err != nil {
 		c.sendDead = true
 		return err
 	}
-	if err := c.fw.flush(); err != nil {
+	if err := c.fw.Flush(); err != nil {
 		c.sendDead = true
 		return err
 	}

@@ -1,10 +1,8 @@
 package ged
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/event"
 )
 
@@ -22,7 +21,8 @@ import (
 // fsync discipline from internal/storage — buffered appends, an explicit
 // flush boundary per contribute batch, optional fsync behind a durable
 // watermark, and torn-tail truncation on open — but stores occurrences
-// in the wire codec so replay re-frames records without re-encoding.
+// as codec log records, the same format the detector's batch-replay
+// log uses.
 //
 // Readers follow the log through LogReader cursors: sequential decode
 // with segment hand-off, blocking on the log's condition variable at the
@@ -57,18 +57,13 @@ type logSegment struct {
 //
 //	"GEDLOG01" | records…
 //
-// named <base offset, 16 hex digits>.seg, and each record is
-//
-//	u32 payload length | u32 CRC-32 (IEEE) of payload | payload
-//
-// with the payload in the wire occurrence encoding. The CRC plus length
+// named <base offset, 16 hex digits>.seg, and each record is one codec
+// log record (u32 length | u32 CRC | occurrence). The CRC plus length
 // bound lets open detect a torn tail (crash mid-append) and truncate it,
 // exactly like the storage WAL treats zero or short tails as torn.
 const (
 	logMagic      = "GEDLOG01"
-	logRecHdr     = 8
 	defSegBytes   = 8 << 20
-	maxLogRecord  = maxFrame
 	logSegPattern = "%016x.seg"
 )
 
@@ -169,28 +164,14 @@ func scanSegment(path string) (count uint64, good int64, err error) {
 		return 0, 0, fmt.Errorf("ged: %s: bad segment magic", path)
 	}
 	good = int64(len(logMagic))
-	var hdr [logRecHdr]byte
-	buf := make([]byte, 0, 4096)
+	var buf []byte
 	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return count, good, nil // clean end or torn header
+		// Any read error ends the scan: a clean end, or a torn or
+		// corrupt tail that open truncates.
+		if buf, err = codec.ReadLogRecord(f, buf); err != nil {
+			return count, good, nil
 		}
-		n := binary.LittleEndian.Uint32(hdr[:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:])
-		if n > maxLogRecord {
-			return count, good, nil // corrupt length: treat as torn
-		}
-		if cap(buf) < int(n) {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(f, buf); err != nil {
-			return count, good, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(buf) != crc {
-			return count, good, nil // corrupt payload
-		}
-		good += logRecHdr + int64(n)
+		good += codec.LogRecordHdr + int64(len(buf))
 		count++
 	}
 }
@@ -247,7 +228,6 @@ func (l *EventLog) Append(occs []event.Occurrence) (first uint64, err error) {
 		return l.end, nil
 	}
 	var rec []byte
-	var hdr [logRecHdr]byte
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -260,19 +240,13 @@ func (l *EventLog) Append(occs []event.Occurrence) (first uint64, err error) {
 				return 0, err
 			}
 		}
-		rec, err = appendOccurrence(rec[:0], &occs[i], 0)
-		if err != nil {
+		if rec, err = codec.AppendLogRecord(rec[:0], &occs[i]); err != nil {
 			return 0, err
-		}
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(rec)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(rec))
-		if _, err := l.active.Write(hdr[:]); err != nil {
-			return 0, fmt.Errorf("ged: event log append: %w", err)
 		}
 		if _, err := l.active.Write(rec); err != nil {
 			return 0, fmt.Errorf("ged: event log append: %w", err)
 		}
-		l.actSize += logRecHdr + int64(len(rec))
+		l.actSize += int64(len(rec))
 		l.actN++
 		l.end++
 	}
@@ -426,27 +400,13 @@ func (r *LogReader) open() error {
 
 // readRecord reads and validates the record at r.pos from the open file.
 func (r *LogReader) readRecord() ([]byte, error) {
-	var hdr [logRecHdr]byte
-	if _, err := io.ReadFull(r.f, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:])
-	if n > maxLogRecord {
-		return nil, fmt.Errorf("ged: log record of %d bytes at offset %d", n, r.pos)
-	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
-	}
-	r.buf = r.buf[:n]
-	if _, err := io.ReadFull(r.f, r.buf); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(r.buf) != crc {
-		return nil, fmt.Errorf("ged: log record CRC mismatch at offset %d", r.pos)
+	buf, err := codec.ReadLogRecord(r.f, r.buf)
+	r.buf = buf
+	if err != nil {
+		return nil, fmt.Errorf("ged: log record at offset %d: %w", r.pos, err)
 	}
 	r.pos++
-	return r.buf, nil
+	return buf, nil
 }
 
 // Next returns the occurrence at the cursor and its offset, blocking at
@@ -472,8 +432,7 @@ func (r *LogReader) Next() (*event.Occurrence, uint64, error) {
 			return nil, 0, err
 		}
 	}
-	p := &payloadReader{b: payload}
-	occ, err := p.occurrence(0)
+	occ, err := codec.DecodeOccurrence(payload)
 	if err != nil {
 		return nil, 0, err
 	}

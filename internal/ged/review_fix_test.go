@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/detector"
 	"repro/internal/event"
 )
@@ -26,15 +27,15 @@ func fakeServer(t *testing.T, n int) string {
 			return
 		}
 		defer conn.Close()
-		fr := newFrameReader(conn)
-		if kind, _, err := fr.readFrame(); err != nil || kind != frHello {
+		fr := codec.NewFrameReader(conn, maxFrame)
+		if kind, _, err := fr.ReadFrame(); err != nil || kind != frHello {
 			return
 		}
-		fw := newFrameWriter(conn)
-		_ = fw.writeFrame(frHelloAck, encodeHelloAck(0, 1, 0))
-		_ = fw.flush()
+		fw := codec.NewFrameWriter(conn, maxFrame)
+		_ = fw.WriteFrame(frHelloAck, encodeHelloAck(0, 1, 0))
+		_ = fw.Flush()
 		for i := 0; i < n; i++ {
-			if _, _, err := fr.readFrame(); err != nil {
+			if _, _, err := fr.ReadFrame(); err != nil {
 				return
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/detector"
 	"repro/internal/event"
 )
@@ -149,7 +150,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // outFrame is one queued outbound frame. A zero kind is the shutdown
 // sentinel: the writer sends a goodbye, flushes, and exits.
 type outFrame struct {
-	kind    frameKind
+	kind    byte
 	payload []byte
 	enq     time.Time
 }
@@ -174,7 +175,7 @@ type serverConn struct {
 // the drop is reported to the caller. Non-shedable frames (acks, stream
 // deliveries, errors) block until there is room or the connection dies,
 // which is what backpressures a too-fast replay pump.
-func (c *serverConn) enqueue(kind frameKind, payload []byte, shedable bool) bool {
+func (c *serverConn) enqueue(kind byte, payload []byte, shedable bool) bool {
 	if c.dead.Load() {
 		return false
 	}
@@ -204,13 +205,13 @@ func (c *serverConn) enqueue(kind frameKind, payload []byte, shedable bool) bool
 // so enqueuers never block on a dead connection.
 func (c *serverConn) writeLoop() {
 	defer close(c.wdone)
-	fw := newFrameWriter(c.conn)
+	fw := codec.NewFrameWriter(c.conn, maxFrame)
 	broken := false
 	for f := range c.out {
 		if f.kind == 0 {
 			if !broken {
-				_ = fw.writeFrame(frGoodbye, nil)
-				_ = fw.flush()
+				_ = fw.WriteFrame(frGoodbye, nil)
+				_ = fw.Flush()
 			}
 			return
 		}
@@ -218,12 +219,12 @@ func (c *serverConn) writeLoop() {
 			continue
 		}
 		c.srv.met.queueWait.ObserveDuration(time.Since(f.enq))
-		if err := fw.writeFrame(f.kind, f.payload); err != nil {
+		if err := fw.WriteFrame(f.kind, f.payload); err != nil {
 			broken = true
 			continue
 		}
 		if len(c.out) == 0 {
-			if err := fw.flush(); err != nil {
+			if err := fw.Flush(); err != nil {
 				broken = true
 			}
 		}
@@ -289,8 +290,8 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.preConns, conn)
 		s.mu.Unlock()
 	}
-	fr := newFrameReader(conn)
-	kind, payload, err := fr.readFrame()
+	fr := codec.NewFrameReader(conn, maxFrame)
+	kind, payload, err := fr.ReadFrame()
 	if err != nil || kind != frHello {
 		dropPre()
 		conn.Close()
@@ -300,9 +301,8 @@ func (s *Server) handle(conn net.Conn) {
 	if err != nil {
 		dropPre()
 		// Pre-handshake: answer inline, no writer goroutine yet.
-		fw := newFrameWriter(conn)
-		_ = fw.writeFrame(frError, encodeError(err.Error()))
-		_ = fw.flush()
+		fw := codec.NewFrameWriter(conn, maxFrame)
+		_ = fw.Send(frError, encodeError(err.Error()))
 		s.met.protoErrors.Inc()
 		conn.Close()
 		return
@@ -337,7 +337,7 @@ func (s *Server) handle(conn net.Conn) {
 
 	var batch []event.Occurrence
 	for {
-		kind, payload, err := fr.readFrame()
+		kind, payload, err := fr.ReadFrame()
 		if err != nil {
 			if errors.Is(err, ErrProtocol) {
 				c.protoError(err)
@@ -419,7 +419,7 @@ func (s *Server) handle(conn net.Conn) {
 		case frGoodbye:
 			return // polite client shutdown
 		default:
-			c.protoError(protoErrf("unexpected %v frame", kind))
+			c.protoError(protoErrf("unexpected frame kind %d", kind))
 			return
 		}
 	}

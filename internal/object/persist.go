@@ -1,13 +1,12 @@
 package object
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
 
+	"repro/internal/codec"
 	"repro/internal/event"
 	"repro/internal/lockmgr"
 	"repro/internal/storage"
@@ -19,8 +18,8 @@ import (
 //   - a fixed-location meta record (the first record ever inserted, page 0
 //     slot 0) holding the OID counter and the RID of the name map; it is
 //     fixed-size so updates never relocate it;
-//   - the name map (the Open OODB name manager), a gob-encoded
-//     map name -> OID;
+//   - the name map (the Open OODB name manager), a codec name-map
+//     record name -> OID;
 //   - and, since every object record now embeds its own OID, an in-memory
 //     OID -> RID directory rebuilt by scanning the heap at open and
 //     maintained incrementally afterwards.
@@ -43,7 +42,7 @@ import (
 
 const (
 	metaMagic   = "SENTOBJ1"
-	metaSize    = 8 + 8 + 8 + 8 // magic + nextOID + spareRID + nameRID
+	metaSize    = 8 + 8 + 8 // magic + nextOID + nameRID
 	catalogLock = "catalog"
 	// gravePruneEvery bounds how often a mutator consults the snapshot
 	// floor to prune committed-delete refs.
@@ -52,44 +51,34 @@ const (
 
 var metaRID = storage.RID{Page: 0, Slot: 0}
 
-// persistedObj is the on-heap encoding of one object. The embedded OID is
-// what lets the directory be rebuilt by scan and lets readers validate a
-// directory entry against slot reuse.
+// persistedObj is a decoded object record (codec.AppendObject). The
+// embedded OID is what lets the directory be rebuilt by scan and lets
+// readers validate a directory entry against slot reuse.
 type persistedObj struct {
 	OID   uint64
 	Class string
 	Attrs map[string]any
 }
 
-func init() {
-	gob.Register(map[string]any{})
-	gob.Register(event.OID(0))
-}
-
+// encodeObj encodes an object record. Attribute values must be atomic
+// (event.Atomic), the paper's parameter value set.
 func encodeObj(obj *Instance) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(persistedObj{OID: uint64(obj.OID), Class: obj.Class.Name, Attrs: obj.attrs}); err != nil {
-		return nil, fmt.Errorf("object: encode: %w", err)
+	b, err := codec.AppendObject(nil, uint64(obj.OID), obj.Class.Name, obj.attrs)
+	if err != nil {
+		return nil, fmt.Errorf("object: encode %v: %w", obj.OID, err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // decodeObjBytes decodes a heap record as an object, reporting ok=false
-// for records that are something else (the meta record, the names blob,
-// index entries — the latter recognizably prefixed with a byte no gob
-// stream can start with).
+// for records that are something else (the meta record, the name map,
+// index entries and catalogs) or that do not decode.
 func decodeObjBytes(data []byte) (persistedObj, bool) {
-	if len(data) == 0 || data[0] >= 0xD0 {
+	oid, class, attrs, err := codec.DecodeObject(data)
+	if err != nil || oid == 0 || class == "" {
 		return persistedObj{}, false
 	}
-	var p persistedObj
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
-		return persistedObj{}, false
-	}
-	if p.OID == 0 || p.Class == "" {
-		return persistedObj{}, false
-	}
-	return p, true
+	return persistedObj{OID: oid, Class: class, Attrs: attrs}, true
 }
 
 func encodeRID(b []byte, rid storage.RID) {
@@ -105,17 +94,15 @@ func decodeRID(b []byte) storage.RID {
 }
 
 type meta struct {
-	nextOID  uint64
-	spareRID storage.RID // held the OID-index blob before it moved in memory
-	nameRID  storage.RID
+	nextOID uint64
+	nameRID storage.RID
 }
 
 func (m meta) encode() []byte {
 	b := make([]byte, metaSize)
 	copy(b, metaMagic)
 	binary.LittleEndian.PutUint64(b[8:], m.nextOID)
-	encodeRID(b[16:], m.spareRID)
-	encodeRID(b[24:], m.nameRID)
+	encodeRID(b[16:], m.nameRID)
 	return b
 }
 
@@ -124,26 +111,9 @@ func decodeMeta(b []byte) (meta, error) {
 		return meta{}, fmt.Errorf("object: record %v is not the catalog meta", metaRID)
 	}
 	return meta{
-		nextOID:  binary.LittleEndian.Uint64(b[8:]),
-		spareRID: decodeRID(b[16:]),
-		nameRID:  decodeRID(b[24:]),
+		nextOID: binary.LittleEndian.Uint64(b[8:]),
+		nameRID: decodeRID(b[16:]),
 	}, nil
-}
-
-func encodeMap[K comparable, V any](m map[K]V) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("object: encode catalog map: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeMap[K comparable, V any](b []byte) (map[K]V, error) {
-	var m map[K]V
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("object: decode catalog map: %w", err)
-	}
-	return m, nil
 }
 
 // InitCatalog creates the persistence catalog on a fresh store or
@@ -165,10 +135,7 @@ func (r *Registry) InitCatalog(tx *txn.Txn) error {
 		// (post-recovery, all-committed) latest state.
 		return r.Bootstrap()
 	}
-	names, err := encodeMap(map[string]uint64{})
-	if err != nil {
-		return err
-	}
+	names := codec.AppendNames(nil, nil)
 	m := meta{nextOID: 1}
 	rid, err := tx.Insert(m.encode())
 	if err != nil {
@@ -230,15 +197,15 @@ func (r *Registry) readNames(tx *txn.Txn, m meta) (map[string]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeMap[string, uint64](data)
+	names, err := codec.DecodeNames(data)
+	if err != nil {
+		return nil, fmt.Errorf("object: decode name map: %w", err)
+	}
+	return names, nil
 }
 
 func (r *Registry) writeNames(tx *txn.Txn, m meta, names map[string]uint64) error {
-	data, err := encodeMap(names)
-	if err != nil {
-		return err
-	}
-	newRID, err := tx.Update(m.nameRID, data)
+	newRID, err := tx.Update(m.nameRID, codec.AppendNames(nil, names))
 	if err != nil {
 		return err
 	}

@@ -3,17 +3,18 @@ package query
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/codec"
 	"repro/internal/event"
 	"repro/internal/lockmgr"
-	"repro/internal/obs"
 	"repro/internal/object"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/txn"
 )
@@ -28,8 +29,9 @@ import (
 // entry writes are undone by the storage manager's CLRs on abort, redone
 // by ARIES recovery after a crash, and shipped to followers as ordinary
 // record traffic — the index never needs its own log, checkpoint, or
-// repair pass. The leading 0xD8/0xD9 bytes are values no gob stream can
-// start with, so object-layer scans skip index records and vice versa.
+// repair pass. The leading 0xD8/0xD9 bytes are codec heap-record tags
+// distinct from the object layer's, so object-layer scans skip index
+// records and vice versa.
 //
 // The in-memory directories (hash map / skiplist) rebuilt from those
 // records at open are OPTIMISTIC: they may briefly hold postings for
@@ -43,13 +45,13 @@ import (
 // and pruned once the store's snapshot floor passes them.
 //
 // The index catalog — the list of index definitions — is one record
-// (0xD9 | gob) that is the authority at boot; DDL additionally appends
+// (0xD9 | definitions) that is the authority at boot; DDL additionally appends
 // logical RecIdxCreate/RecIdxDrop log records so followers learn about
 // definition changes in commit order on the replication stream.
 
 const (
-	entryMagic byte = 0xD8
-	catMagic   byte = 0xD9
+	entryMagic = codec.TagEntry
+	catMagic   = codec.TagCatalog
 	// catalogLock is the object layer's catalog resource: index DDL takes
 	// it exclusively so backfill/teardown serialize against all writers.
 	catalogLock = "catalog"
@@ -114,7 +116,7 @@ type index struct {
 	hmu  sync.RWMutex
 	hash map[string]map[uint64]storage.RID // HashIndex: enc key -> oid -> entry RID
 
-	ord *skiplist // OrderedIndex: enc key || oid BE -> skipVal
+	ord *skiplist // OrderedIndex: (enc key, oid) -> skipVal
 }
 
 func makeIndex(def IndexDef) *index {
@@ -125,15 +127,6 @@ func makeIndex(def IndexDef) *index {
 		ix.ord = newSkiplist()
 	}
 	return ix
-}
-
-// okey is the ordered-directory key: attr key + big-endian OID, so equal
-// attr values coexist and scan in OID order.
-func okey(key []byte, oid uint64) []byte {
-	out := make([]byte, len(key)+8)
-	copy(out, key)
-	binary.BigEndian.PutUint64(out[len(key):], oid)
-	return out
 }
 
 func (ix *index) add(key []byte, oid uint64, rid storage.RID) {
@@ -148,7 +141,7 @@ func (ix *index) add(key []byte, oid uint64, rid storage.RID) {
 		ix.hmu.Unlock()
 		return
 	}
-	ix.ord.set(okey(key, oid), skipVal{oid: oid, rid: rid})
+	ix.ord.set(key, skipVal{oid: oid, rid: rid})
 }
 
 // getRID returns the entry-record location for (key, oid).
@@ -159,7 +152,7 @@ func (ix *index) getRID(key []byte, oid uint64) (storage.RID, bool) {
 		rid, ok := ix.hash[string(key)][oid]
 		return rid, ok
 	}
-	v, ok := ix.ord.get(okey(key, oid))
+	v, ok := ix.ord.get(key, oid)
 	return v.rid, ok
 }
 
@@ -180,9 +173,8 @@ func (ix *index) removeIfRID(key []byte, oid uint64, rid storage.RID) {
 		}
 		return
 	}
-	k := okey(key, oid)
-	if v, ok := ix.ord.get(k); ok && v.rid == rid {
-		ix.ord.del(k)
+	if v, ok := ix.ord.get(key, oid); ok && v.rid == rid {
+		ix.ord.del(key, oid)
 	}
 }
 
@@ -199,16 +191,16 @@ func (ix *index) eqCandidates(key []byte) []uint64 {
 		sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
 		return oids
 	}
-	ix.ord.scan(key, prefixEnd(key), func(_ []byte, v skipVal) bool {
+	ix.ord.scan(&skipPos{key, 0}, &skipPos{key, math.MaxUint64}, func(_ []byte, v skipVal) bool {
 		oids = append(oids, v.oid)
 		return true
 	})
 	return oids
 }
 
-// rangeCandidates returns the (superset) OIDs posted in [lo, hi) of the
+// rangeCandidates returns the (superset) OIDs posted in [lo, hi] of the
 // ordered directory, key order, deduplicated. nil bounds are open ends.
-func (ix *index) rangeCandidates(lo, hi []byte) []uint64 {
+func (ix *index) rangeCandidates(lo, hi *skipPos) []uint64 {
 	if ix.ord == nil {
 		return nil
 	}
@@ -237,9 +229,7 @@ func (ix *index) entries() []idxEntryRef {
 		ix.hmu.RUnlock()
 		return out
 	}
-	ix.ord.scan(nil, nil, func(k []byte, v skipVal) bool {
-		key := make([]byte, len(k)-8)
-		copy(key, k[:len(k)-8])
+	ix.ord.scan(nil, nil, func(key []byte, v skipVal) bool {
 		out = append(out, idxEntryRef{idx: ix.def.ID, key: key, oid: v.oid, rid: v.rid})
 		return true
 	})
@@ -257,20 +247,6 @@ func (ix *index) size() int {
 		return n
 	}
 	return ix.ord.len()
-}
-
-// prefixEnd returns the smallest byte string greater than every string
-// with prefix p, or nil when p is all 0xFF (open end).
-func prefixEnd(p []byte) []byte {
-	out := make([]byte, len(p))
-	copy(out, p)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xFF {
-			out[i]++
-			return out[:i+1]
-		}
-	}
-	return nil
 }
 
 // idxEntryRef identifies one posting and its entry record.
@@ -364,24 +340,44 @@ func decodeEntry(data []byte) (idxID uint32, oid uint64, key []byte, ok bool) {
 	return idxID, oid, key, true
 }
 
-func encodeCatalog(defs []IndexDef) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(catMagic)
-	if err := gob.NewEncoder(&buf).Encode(defs); err != nil {
-		return nil, fmt.Errorf("query: encode catalog: %w", err)
+// appendDef appends one definition: uvarint ID | string class | string
+// attr | u8 kind. RecIdxCreate/RecIdxDrop payloads are one definition;
+// the catalog record is TagCatalog followed by every definition.
+func appendDef(b []byte, def IndexDef) []byte {
+	b = binary.AppendUvarint(b, uint64(def.ID))
+	b = codec.AppendString(b, def.Class)
+	b = codec.AppendString(b, def.Attr)
+	return append(b, byte(def.Kind))
+}
+
+func readDef(r *codec.Reader) IndexDef {
+	return IndexDef{ID: uint32(r.Uvarint()), Class: r.Str(), Attr: r.Str(), Kind: IndexKind(r.Byte())}
+}
+
+func decodeDef(data []byte) (IndexDef, bool) {
+	r := codec.NewReader(data)
+	def := readDef(r)
+	return def, r.Done() == nil && def.ID != 0
+}
+
+func encodeCatalog(defs []IndexDef) []byte {
+	b := []byte{catMagic}
+	for _, def := range defs {
+		b = appendDef(b, def)
 	}
-	return buf.Bytes(), nil
+	return b
 }
 
 func decodeCatalog(data []byte) ([]IndexDef, bool) {
-	if len(data) == 0 || data[0] != catMagic {
+	r := codec.NewReader(data)
+	if r.Byte() != catMagic {
 		return nil, false
 	}
 	var defs []IndexDef
-	if err := gob.NewDecoder(bytes.NewReader(data[1:])).Decode(&defs); err != nil {
-		return nil, false
+	for r.Remaining() > 0 {
+		defs = append(defs, readDef(r))
 	}
-	return defs, true
+	return defs, r.Err() == nil
 }
 
 // Bootstrap rebuilds the index catalog and all directories by one pass
@@ -781,11 +777,7 @@ func (m *Manager) CreateIndex(tx *txn.Txn, class, attr string, kind IndexKind) (
 		m.mu.Unlock()
 	})
 
-	payload, err := gobEncodeDef(def)
-	if err != nil {
-		return IndexDef{}, err
-	}
-	if err := m.store.LogIndexOp(tx.ID(), storage.RecIdxCreate, payload); err != nil {
+	if err := m.store.LogIndexOp(tx.ID(), storage.RecIdxCreate, appendDef(nil, def)); err != nil {
 		return IndexDef{}, err
 	}
 	if err := m.writeCatalog(tx, defs); err != nil {
@@ -795,7 +787,7 @@ func (m *Manager) CreateIndex(tx *txn.Txn, class, attr string, kind IndexKind) (
 	// Backfill the extent under the same transaction.
 	d := m.dirtyFor(tx)
 	var ferr error
-	err = m.reg.ForEach(tx, class, false, func(inst *object.Instance) bool {
+	err := m.reg.ForEach(tx, class, false, func(inst *object.Instance) bool {
 		key, ok := encodeKey(inst.Attrs()[attr])
 		if !ok {
 			return true
@@ -845,11 +837,7 @@ func (m *Manager) DropIndex(tx *txn.Txn, class, attr string, kind IndexKind) err
 		m.mu.Unlock()
 	})
 
-	payload, err := gobEncodeDef(ix.def)
-	if err != nil {
-		return err
-	}
-	if err := m.store.LogIndexOp(tx.ID(), storage.RecIdxDrop, payload); err != nil {
+	if err := m.store.LogIndexOp(tx.ID(), storage.RecIdxDrop, appendDef(nil, ix.def)); err != nil {
 		return err
 	}
 	if err := m.writeCatalog(tx, defs); err != nil {
@@ -875,14 +863,12 @@ func (m *Manager) defsLocked() []IndexDef {
 // writeCatalog persists the definition list, tracking the catalog
 // record's location across relocations and aborts.
 func (m *Manager) writeCatalog(tx *txn.Txn, defs []IndexDef) error {
-	data, err := encodeCatalog(defs)
-	if err != nil {
-		return err
-	}
+	data := encodeCatalog(defs)
 	m.mu.Lock()
 	prevRID, prevHas := m.catRID, m.hasCat
 	m.mu.Unlock()
 	var newRID storage.RID
+	var err error
 	if prevHas {
 		newRID, err = tx.Update(prevRID, data)
 	} else {
@@ -920,22 +906,6 @@ func onAbortChain(tx *txn.Txn, fn func()) {
 	}
 }
 
-func gobEncodeDef(def IndexDef) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(def); err != nil {
-		return nil, fmt.Errorf("query: encode def: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecodeDef(data []byte) (IndexDef, bool) {
-	var def IndexDef
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&def); err != nil {
-		return IndexDef{}, false
-	}
-	return def, def.ID != 0
-}
-
 // ApplyRecord is the storage apply hook on followers (and after deferred
 // replays): it mirrors committed record traffic into the definitions and
 // directories. Called serially in LSN order after page effects complete.
@@ -962,7 +932,7 @@ func (m *Manager) ApplyRecord(rec *storage.LogRecord) {
 		m.graveMu.Unlock()
 		m.maybePrune()
 	case storage.RecIdxCreate:
-		if def, ok := gobDecodeDef(rec.After); ok {
+		if def, ok := decodeDef(rec.After); ok {
 			m.mu.Lock()
 			if old := m.byID[def.ID]; old != nil {
 				m.uninstallLocked(old)
@@ -974,7 +944,7 @@ func (m *Manager) ApplyRecord(rec *storage.LogRecord) {
 			m.mu.Unlock()
 		}
 	case storage.RecIdxDrop:
-		if def, ok := gobDecodeDef(rec.After); ok {
+		if def, ok := decodeDef(rec.After); ok {
 			m.mu.Lock()
 			if ix := m.byID[def.ID]; ix != nil {
 				m.uninstallLocked(ix)

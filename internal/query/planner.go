@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/txn"
@@ -60,8 +61,8 @@ type accessPlan struct {
 	mode  accessMode
 	ix    *index
 	eqKey []byte
-	lo    []byte // [lo, hi) over the ordered directory; nil = open
-	hi    []byte
+	lo    *skipPos // [lo, hi] over the ordered directory; nil = open
+	hi    *skipPos
 	desc  string
 }
 
@@ -107,7 +108,7 @@ func (m *Manager) chooseAccess(q Q) accessPlan {
 		if ix == nil {
 			continue
 		}
-		var lo, hi []byte
+		var lo, hi *skipPos
 		var loDesc, hiDesc []string
 		ok := true
 		for _, o := range bounds {
@@ -120,12 +121,13 @@ func (m *Manager) chooseAccess(q Q) accessPlan {
 					ok = false
 					break
 				}
-				// exclusive lower: skip past every okey extending this key
+				// (k, 0) precedes every posting of k, (k, max) follows them
+				p := &skipPos{key: k}
 				if !o.loInc {
-					k = prefixEnd(k)
+					p.oid = math.MaxUint64
 				}
-				if lo == nil || bytesGreater(k, lo) {
-					lo = k
+				if lo == nil || cmpPos(p.key, p.oid, *lo) > 0 {
+					lo = p
 				}
 				loDesc = append(loDesc, fmt.Sprintf("%s %v", relDesc(o.loInc, ">="), o.lo))
 			}
@@ -135,12 +137,12 @@ func (m *Manager) chooseAccess(q Q) accessPlan {
 					ok = false
 					break
 				}
-				// inclusive upper: include every okey extending this key
+				p := &skipPos{key: k}
 				if o.hiInc {
-					k = prefixEnd(k)
+					p.oid = math.MaxUint64
 				}
-				if k != nil && (hi == nil || bytesGreater(hi, k)) {
-					hi = k
+				if hi == nil || cmpPos(p.key, p.oid, *hi) < 0 {
+					hi = p
 				}
 				hiDesc = append(hiDesc, fmt.Sprintf("%s %v", relDesc(o.hiInc, "<="), o.hi))
 			}
@@ -155,10 +157,6 @@ func (m *Manager) chooseAccess(q Q) accessPlan {
 		}
 	}
 	return ext
-}
-
-func bytesGreater(a, b []byte) bool {
-	return string(a) > string(b)
 }
 
 func relDesc(inclusive bool, inc string) string {

@@ -210,7 +210,7 @@ func TestSkiplistBasics(t *testing.T) {
 	s := newSkiplist()
 	for i := 99; i >= 0; i-- {
 		key, _ := encodeKey(i)
-		s.set(okey(key, uint64(i)), skipVal{oid: uint64(i)})
+		s.set(key, skipVal{oid: uint64(i)})
 	}
 	if s.len() != 100 {
 		t.Fatalf("len = %d", s.len())
@@ -228,7 +228,7 @@ func TestSkiplistBasics(t *testing.T) {
 	lo, _ := encodeKey(10)
 	hi, _ := encodeKey(20)
 	var ranged []uint64
-	s.scan(lo, hi, func(_ []byte, v skipVal) bool {
+	s.scan(&skipPos{key: lo}, &skipPos{key: hi}, func(_ []byte, v skipVal) bool {
 		ranged = append(ranged, v.oid)
 		return true
 	})
@@ -236,8 +236,8 @@ func TestSkiplistBasics(t *testing.T) {
 		t.Fatalf("range scan [10,20): %v", ranged)
 	}
 	key, _ := encodeKey(50)
-	s.del(okey(key, 50))
-	if _, ok := s.get(okey(key, 50)); ok || s.len() != 99 {
+	s.del(key, 50)
+	if _, ok := s.get(key, 50); ok || s.len() != 99 {
 		t.Fatal("delete failed")
 	}
 }
@@ -283,22 +283,40 @@ func TestOrderedRangeMatchesScan(t *testing.T) {
 	defer e.close()
 	e.seedStocks(200, 100)
 
+	// Strings that extend one another: an ordered bound on one of them
+	// must neither skip nor over-include the others.
+	prefixed := []string{"", "a", "ab", "abc", "b"}
 	tx := e.begin()
+	for _, sym := range append(prefixed, prefixed...) {
+		if _, err := e.reg.New(tx, "STOCK", map[string]any{"sym": sym}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := e.qm.CreateIndex(tx, "STOCK", "price", OrderedIndex); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.qm.CreateIndex(tx, "STOCK", "sym", OrderedIndex); err != nil {
 		t.Fatal(err)
 	}
 	e.commit(tx)
 
 	tx = e.begin()
 	defer e.commit(tx)
-	for _, p := range []Pred{
+	preds := []Pred{
 		Between("price", 10, 20),
 		And(Gt("price", 10), Lt("price", 20)),
 		Ge("price", 95),
 		Lt("price", 5),
 		And(Ge("price", 30), Le("price", 30)),
 		Between("price", 60, 50), // empty interval
-	} {
+	}
+	for _, v := range prefixed {
+		preds = append(preds, Gt("sym", v), Ge("sym", v), Lt("sym", v), Le("sym", v), Eq("sym", v))
+		for _, w := range prefixed {
+			preds = append(preds, Between("sym", v, w))
+		}
+	}
+	for _, p := range preds {
 		e.checkOracle(tx, "STOCK", p)
 	}
 	if _, ranges, _, _, _ := e.qm.Stats(); ranges == 0 {

@@ -5,12 +5,12 @@ import (
 	"sync"
 )
 
-// skiplist is the in-memory directory behind an ordered index: byte-string
-// keys (order-preserving attr encoding + big-endian OID suffix, so
-// duplicate attr values coexist and scans emit them in OID order) mapping
-// to the optimistic record location. Readers re-verify through MVCC, so
-// the list only needs internal consistency: one mutex for writers,
-// read-locked iteration for scans. Levels are driven by a cheap xorshift
+// skiplist is the in-memory directory behind an ordered index: postings
+// ordered on the pair (key, oid) — the order-preserving attr encoding
+// compared bytewise, then the OID, so duplicate attr values coexist and
+// scan in OID order — mapping to the optimistic record location. Readers
+// re-verify through MVCC, so the list only needs internal consistency:
+// one mutex for writers, read-locked iteration for scans. Levels are driven by a cheap xorshift
 // PRNG seeded per list — no global rand dependency.
 const skipMaxLevel = 24
 
@@ -19,6 +19,29 @@ type skipNode struct {
 	val  skipVal
 	next [skipMaxLevel]*skipNode
 }
+
+// skipPos is a position in the (key, oid) order; scan bounds are
+// positions, (k, 0) before every posting of k and (k, max) after them.
+type skipPos struct {
+	key []byte
+	oid uint64
+}
+
+// cmpPos orders postings by key bytes, then OID.
+func cmpPos(key []byte, oid uint64, p skipPos) int {
+	if c := bytes.Compare(key, p.key); c != 0 {
+		return c
+	}
+	switch {
+	case oid < p.oid:
+		return -1
+	case oid > p.oid:
+		return 1
+	}
+	return 0
+}
+
+func (n *skipNode) less(p skipPos) bool { return cmpPos(n.key, n.val.oid, p) < 0 }
 
 type skiplist struct {
 	mu    sync.RWMutex
@@ -47,19 +70,31 @@ func (s *skiplist) randLevel() int {
 	return lvl
 }
 
-// set inserts or overwrites key.
+// seek returns the last node before p and, per level, the predecessors
+// an insert or delete at p relinks. Caller holds mu.
+func (s *skiplist) seek(p skipPos, update *[skipMaxLevel]*skipNode) *skipNode {
+	x := s.head
+	for i := s.level - 1; i >= 0; i-- {
+		for x.next[i] != nil && x.next[i].less(p) {
+			x = x.next[i]
+		}
+		if update != nil {
+			update[i] = x
+		}
+	}
+	return x
+}
+
+// at reports whether n holds exactly position p.
+func (n *skipNode) at(p skipPos) bool { return n != nil && cmpPos(n.key, n.val.oid, p) == 0 }
+
+// set inserts or overwrites the posting (key, val.oid).
 func (s *skiplist) set(key []byte, val skipVal) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var update [skipMaxLevel]*skipNode
-	x := s.head
-	for i := s.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && bytes.Compare(x.next[i].key, key) < 0 {
-			x = x.next[i]
-		}
-		update[i] = x
-	}
-	if nxt := x.next[0]; nxt != nil && bytes.Equal(nxt.key, key) {
+	x := s.seek(skipPos{key, val.oid}, &update)
+	if nxt := x.next[0]; nxt.at(skipPos{key, val.oid}) {
 		nxt.val = val
 		return
 	}
@@ -78,20 +113,13 @@ func (s *skiplist) set(key []byte, val skipVal) {
 	s.size++
 }
 
-// del removes key if present.
-func (s *skiplist) del(key []byte) {
+// del removes the posting (key, oid) if present.
+func (s *skiplist) del(key []byte, oid uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var update [skipMaxLevel]*skipNode
-	x := s.head
-	for i := s.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && bytes.Compare(x.next[i].key, key) < 0 {
-			x = x.next[i]
-		}
-		update[i] = x
-	}
-	target := x.next[0]
-	if target == nil || !bytes.Equal(target.key, key) {
+	target := s.seek(skipPos{key, oid}, &update).next[0]
+	if !target.at(skipPos{key, oid}) {
 		return
 	}
 	for i := 0; i < s.level; i++ {
@@ -105,39 +133,29 @@ func (s *skiplist) del(key []byte) {
 	s.size--
 }
 
-// get returns the value for key.
-func (s *skiplist) get(key []byte) (skipVal, bool) {
+// get returns the posting (key, oid).
+func (s *skiplist) get(key []byte, oid uint64) (skipVal, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	x := s.head
-	for i := s.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && bytes.Compare(x.next[i].key, key) < 0 {
-			x = x.next[i]
-		}
-	}
-	if nxt := x.next[0]; nxt != nil && bytes.Equal(nxt.key, key) {
+	if nxt := s.seek(skipPos{key, oid}, nil).next[0]; nxt.at(skipPos{key, oid}) {
 		return nxt.val, true
 	}
 	return skipVal{}, false
 }
 
-// scan visits entries with lo <= key < hi (nil lo = from start, nil hi =
-// to end) in key order, under the read lock; fn returns false to stop.
-// Keys and values are copied out by the caller if retained — fn must not
-// block on writer work.
-func (s *skiplist) scan(lo, hi []byte, fn func(key []byte, val skipVal) bool) {
+// scan visits postings with lo <= (key, oid) <= hi (nil lo = from start,
+// nil hi = to end) in order, under the read lock; fn returns false to
+// stop and must not block on writer work. Keys are never mutated, so fn
+// may retain them.
+func (s *skiplist) scan(lo, hi *skipPos, fn func(key []byte, val skipVal) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	x := s.head
 	if lo != nil {
-		for i := s.level - 1; i >= 0; i-- {
-			for x.next[i] != nil && bytes.Compare(x.next[i].key, lo) < 0 {
-				x = x.next[i]
-			}
-		}
+		x = s.seek(*lo, nil)
 	}
 	for n := x.next[0]; n != nil; n = n.next[0] {
-		if hi != nil && bytes.Compare(n.key, hi) >= 0 {
+		if hi != nil && cmpPos(n.key, n.val.oid, *hi) > 0 {
 			return
 		}
 		if !fn(n.key, n.val) {

@@ -26,10 +26,14 @@ import (
 //	     directory of sealed, CRC-manifested segments named by base LSN,
 //	     with fuzzy-checkpoint state in wal/MANIFEST. Record framing is
 //	     unchanged but a v2 log file is not discoverable by a v3 build.
+//	v4 — one value codec: object records, the object name map and the
+//	     index catalog (plus RecIdxCreate/RecIdxDrop payloads) moved from
+//	     gob to internal/codec's tagged layouts. Page and WAL framing are
+//	     unchanged, but a v3 heap's records do not decode under v4.
 const (
 	formatMagic = "sentinel-format"
 	// FormatVersion is the generation this build reads and writes.
-	FormatVersion = 3
+	FormatVersion = 4
 	// formatFile is the marker's filename inside the data directory.
 	formatFile = "sentinel.meta"
 )

@@ -158,13 +158,9 @@ type Options struct {
 	SerialRules bool
 	// AppName identifies this application to the global event detector.
 	AppName string
-	// GEDAddr, when set, connects to a global event detector at that
-	// address.
-	GEDAddr string
-	// GEDAddrs, when set, connects to a partitioned global event
-	// detector cluster: event names are routed to instances by
-	// ged.PartitionOf. A single address behaves exactly like GEDAddr.
-	// Setting both GEDAddr and GEDAddrs is rejected by Open.
+	// GEDAddrs, when set, connects to a global event detector: one
+	// address for a single server, several for a partitioned cluster
+	// where event names are routed to instances by ged.PartitionOf.
 	GEDAddrs []string
 	// GEDBatch, when > 1, batches ShareEvent forwarding: up to GEDBatch
 	// occurrences are coalesced into one contribute frame. Call
@@ -490,15 +486,7 @@ func Open(opts Options) (*Database, error) {
 			"Time Promote took to turn this follower into a leader.",
 			db.failover)
 	}
-	gedAddrs := opts.GEDAddrs
-	if opts.GEDAddr != "" {
-		if len(gedAddrs) > 0 {
-			db.closeInternals()
-			return nil, errors.New("sentinel: set GEDAddr or GEDAddrs, not both")
-		}
-		gedAddrs = []string{opts.GEDAddr}
-	}
-	if len(gedAddrs) > 0 {
+	if gedAddrs := opts.GEDAddrs; len(gedAddrs) > 0 {
 		var (
 			bus ged.Bus
 			err error
@@ -854,14 +842,19 @@ func (db *Database) resolveName(name string) (event.OID, error) {
 
 // RecordEvents starts appending every primitive event occurrence to w (a
 // stored event log for batch detection). The returned stop function ends
-// recording. Only one recorder or debugger can be installed at a time.
+// recording and returns the first error writing to w, if any: recording
+// stops at that error, so the log holds a prefix of the event stream.
+// Only one recorder or debugger can be installed at a time.
 // While recording, the detector's lock-free signal fast path is disabled
 // so the log captures even occurrences nothing subscribes to; expect
 // per-signal cost to rise accordingly until stop is called.
-func (db *Database) RecordEvents(w io.Writer) (stop func(), err error) {
+func (db *Database) RecordEvents(w io.Writer) (stop func() error, err error) {
 	log := detector.NewEventLog(w)
 	db.det.SetTracer(log.Recorder())
-	return func() { db.det.SetTracer(nil) }, nil
+	return func() error {
+		db.det.SetTracer(nil)
+		return log.Err()
+	}, nil
 }
 
 // ReplayLog feeds a stored event log through the detector in batch mode:
@@ -879,7 +872,7 @@ func (db *Database) ReplayLog(r io.Reader) (int, error) {
 // ---------------------------------------------------------------------------
 
 // ErrNoGED is returned by global-event calls on a database opened without
-// a GEDAddr.
+// GEDAddrs.
 var ErrNoGED = errors.New("sentinel: database not connected to a global event detector")
 
 // ShareEvent forwards every local occurrence of the named event to the

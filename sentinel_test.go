@@ -389,7 +389,7 @@ func TestE13_GlobalEvents(t *testing.T) {
 	}
 
 	mk := func(name string) *sentinel.Database {
-		db, err := sentinel.Open(sentinel.Options{AppName: name, GEDAddr: addr, SerialRules: true})
+		db, err := sentinel.Open(sentinel.Options{AppName: name, GEDAddrs: []string{addr}, SerialRules: true})
 		if err != nil {
 			t.Fatal(err)
 		}
