@@ -17,7 +17,7 @@ BENCH_COUNT ?= 1
 BENCH_CPUS ?= 1,4,8
 BENCH_THRESHOLD ?= 15
 
-.PHONY: all build test check fuzz lint cover bench bench-text bench-smoke bench-record bench-compare bench-storage bench-rules bench-ged bench-query ged-smoke repl-smoke torture clean
+.PHONY: all build test check fuzz loc lint cover bench bench-text bench-smoke bench-record bench-compare bench-storage bench-rules bench-ged bench-query ged-smoke repl-smoke torture clean
 
 all: build
 
@@ -36,14 +36,21 @@ check:
 	$(GO) test -race ./...
 	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
-# fuzz runs each codec fuzz target for FUZZ_TIME: arbitrary bytes through
-# every decoder (value, occurrence, object record, name map, frame, log
-# record) and encode->decode of every atomic value kind. go test accepts
-# one -fuzz target per run.
+# fuzz runs each fuzz target for FUZZ_TIME: arbitrary bytes through
+# every codec decoder (value, occurrence, object record, name map, frame,
+# log record), encode->decode of every atomic value kind, and the query
+# planner against the extent-scan oracle over mixed-kind data and random
+# predicate trees. go test accepts one -fuzz target per run.
 FUZZ_TIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZ_TIME) ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzValueRoundTrip$$' -fuzztime $(FUZZ_TIME) ./internal/codec
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanEqualsScan$$' -fuzztime $(FUZZ_TIME) ./internal/query
+
+# loc prints the net non-test Go line count each change reports: every
+# .go file except tests, the nested e2ebench module and hidden directories.
+loc:
+	@find . -path './.*' -prune -o -path ./e2ebench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # torture runs the crash-torture harness: TORTURE_ITERS seeded kill-point
 # iterations against the storage manager, each reopened and verified

@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	sentinel "repro"
 	"repro/internal/lockmgr"
+	"repro/internal/query"
+	"repro/internal/txn"
 )
 
 // TestConcurrentTransactionsSerialize: two transactions invoking a
@@ -84,6 +87,110 @@ func TestConcurrentTransactionsSerialize(t *testing.T) {
 		t.Fatalf("qty=%d want %d (lost updates)", got, 1000-workers*per)
 	}
 	_ = check.Commit()
+}
+
+// TestSchedulingPointRunsOwnFamilysRules: one client loops Begin →
+// Invoke → Commit with an IMMEDIATE rule (hash-probed Where, writing
+// action) on the method, while a second client only loops Begin/Abort.
+// The second client's scheduling points must neither run nor hide the
+// first client's rule: every Invoke returns after exactly one action run
+// in its own transaction, and no Commit finds a rule subtransaction still
+// active.
+func TestSchedulingPointRunsOwnFamilysRules(t *testing.T) {
+	db := openStockDB(t, t.TempDir())
+	if _, err := db.DefineClass("AUDIT", "", false); err != nil {
+		t.Fatal(err)
+	}
+	setup, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateIndex(setup, "STOCK", "sym", sentinel.HashIndex); err != nil {
+		t.Fatal(err)
+	}
+	obj, err := db.New(setup, "STOCK", map[string]any{"sym": "HOT", "qty": 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		current atomic.Uint64 // root id of client A's open transaction
+		runs    atomic.Int64  // action runs inside that transaction
+	)
+	if _, err := db.DefineRule(sentinel.RuleSpec{
+		Name:  "audit",
+		Event: "e1", // end sell_stock(qty)
+		Where: &sentinel.RuleWhere{Class: "STOCK", Pred: query.Eq("sym", "HOT")},
+		Action: func(x *sentinel.Execution) error {
+			if x.Txn.Root().ID() == current.Load() {
+				runs.Add(1)
+			}
+			_, err := db.New(x.Txn, "AUDIT", map[string]any{"at": int64(x.Txn.ID())})
+			return err
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	const ops = 1500
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // client B: scheduling points of its own, no rules
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tx, err := db.Begin()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := tx.Abort(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var missed, activeChildren int
+	for i := 0; i < ops; i++ {
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		current.Store(tx.ID())
+		runs.Store(0)
+		if _, err := db.Invoke(tx, obj, "sell_stock", 1); err != nil {
+			t.Fatal(err)
+		}
+		if runs.Load() != 1 {
+			missed++
+		}
+		err = tx.Commit()
+		if errors.Is(err, txn.ErrActiveChildren) {
+			activeChildren++
+			// The stray rule subtransaction finishes on client B's
+			// goroutine; abort once it has, so no locks are left behind.
+			for errors.Is(err, txn.ErrActiveChildren) {
+				time.Sleep(time.Millisecond)
+				err = tx.Abort()
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if missed != 0 || activeChildren != 0 {
+		t.Fatalf("of %d ops, %d returned from Invoke without their action run, %d commits failed with active children",
+			ops, missed, activeChildren)
+	}
 }
 
 // TestVisibilityThroughFacade: class-body rules with visibilities,

@@ -474,37 +474,6 @@ func (c *Client) Forwarder() detector.Subscriber {
 	})
 }
 
-// BatchForwarder returns a Subscriber that buffers up to size occurrences
-// before sending them as one contribute frame, plus a flush function that
-// sends whatever is pending (call it before Close, and whenever bounded
-// delivery latency matters more than throughput). Buffering decouples the
-// detector's signal path from the network: the wire write happens at most
-// once per size occurrences rather than on every signal.
-func (c *Client) BatchForwarder(size int) (detector.Subscriber, func() error) {
-	if size < 1 {
-		size = 1
-	}
-	var mu sync.Mutex
-	buf := make([]event.Occurrence, 0, size)
-	flush := func() error {
-		mu.Lock()
-		pending := buf
-		buf = make([]event.Occurrence, 0, size)
-		mu.Unlock()
-		return c.ContributeBatch(pending)
-	}
-	sub := detector.SubscriberFunc(func(occ *event.Occurrence, _ detector.Context) {
-		mu.Lock()
-		buf = append(buf, *occ)
-		full := len(buf) >= size
-		mu.Unlock()
-		if full {
-			_ = flush()
-		}
-	})
-	return sub, flush
-}
-
 // Close disconnects from the GED and waits for the receive loop to stop
 // and the handler dispatcher to drain: no handler runs after Close
 // returns. (A handler must not call Close on its own client.)

@@ -3,7 +3,6 @@ package ged
 import (
 	"errors"
 	"hash/fnv"
-	"sync"
 
 	"repro/internal/detector"
 	"repro/internal/event"
@@ -19,7 +18,6 @@ type Bus interface {
 	Subscribe(eventName string, ctx detector.Context, h Handler) error
 	SubscribeFrom(eventName string, from uint64, h StreamHandler) (uint64, error)
 	Forwarder() detector.Subscriber
-	BatchForwarder(size int) (detector.Subscriber, func() error)
 	Close() error
 }
 
@@ -141,37 +139,6 @@ func (cl *Cluster) Forwarder() detector.Subscriber {
 	return detector.SubscriberFunc(func(occ *event.Occurrence, _ detector.Context) {
 		_ = cl.Contribute(occ)
 	})
-}
-
-// BatchForwarder buffers then splits by partition on flush.
-func (cl *Cluster) BatchForwarder(size int) (detector.Subscriber, func() error) {
-	if size < 1 {
-		size = 1
-	}
-	var (
-		mu  sync.Mutex
-		buf = make([]event.Occurrence, 0, size)
-	)
-	flush := func() error {
-		mu.Lock()
-		pending := buf
-		buf = make([]event.Occurrence, 0, size)
-		mu.Unlock()
-		if len(pending) == 0 {
-			return nil
-		}
-		return cl.ContributeBatch(pending)
-	}
-	sub := detector.SubscriberFunc(func(occ *event.Occurrence, _ detector.Context) {
-		mu.Lock()
-		buf = append(buf, *occ)
-		full := len(buf) >= size
-		mu.Unlock()
-		if full {
-			_ = flush()
-		}
-	})
-	return sub, flush
 }
 
 // Close closes every partition connection.

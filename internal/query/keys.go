@@ -139,6 +139,10 @@ func encodeKey(v any) ([]byte, bool) {
 		}
 		return []byte{kindBool, 0}, true
 	case float64:
+		// -0 compares equal to +0, so it must key as +0.
+		if x == 0 {
+			x = 0
+		}
 		// IEEE-754 order fix: flip all bits of negatives, set the sign bit
 		// of non-negatives; big-endian bytes then sort numerically.
 		bits := math.Float64bits(x)

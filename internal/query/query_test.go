@@ -3,6 +3,7 @@ package query
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -154,7 +155,7 @@ func (e *env) checkOracle(tx *txn.Txn, class string, p Pred) {
 }
 
 func TestKeyEncodingOrderMatchesCompare(t *testing.T) {
-	vals := []any{nil, false, true, -1e300, -42.5, -1, 0, 0.5, 3, int64(3), 3.0,
+	vals := []any{nil, false, true, -1e300, -42.5, -1, math.Copysign(0, -1), 0, 0.5, 3, int64(3), 3.0,
 		uint8(7), 1e300, "", "a", "ab", "b", "zzz"}
 	for _, a := range vals {
 		for _, b := range vals {

@@ -225,8 +225,8 @@ type Spec struct {
 // planner binds the predicate to a secondary index when one covers it,
 // turning the condition from an O(extent) closure into an index probe.
 // Class defaults to the spec's owning Class; a nil Pred tests extent
-// non-emptiness. Evaluation runs under the firing transaction — with
-// SnapshotConditions, against its MVCC snapshot.
+// non-emptiness. Evaluation runs under the firing transaction's MVCC
+// snapshot.
 type Where struct {
 	Class      string
 	Subclasses bool
@@ -323,14 +323,6 @@ type Manager struct {
 	// counted, and reported as ErrCascadeShed — instead of recursing
 	// without bound. Zero means unlimited.
 	MaxCascade int
-	// SnapshotConditions evaluates rule conditions against an MVCC
-	// snapshot of the triggering transaction's state (committed state plus
-	// the family's own writes) instead of taking Shared locks per read.
-	// Conditions become read-only under it: a condition that writes gets
-	// txn.ErrReadOnly. The facade defaults it on via
-	// sentinel.Options.SnapshotConditions.
-	SnapshotConditions bool
-
 	// ExistsFn evaluates Where conditions: does any object of class
 	// satisfy pred, as seen by tx? The facade wires it to the query
 	// engine's Exists (set once at startup, before rules run). A rule
@@ -439,8 +431,8 @@ func validateSpec(spec Spec) error {
 
 // specCond resolves the spec's condition: the Condition func as given, or
 // a closure compiling Where through the query engine. The closure runs
-// inside runBody's snapshot scope when SnapshotConditions is on, so the
-// probe reads the firing transaction's consistent view for free.
+// inside runBody's snapshot scope, so the probe reads the firing
+// transaction's consistent view for free.
 func (m *Manager) specCond(spec *Spec) Condition {
 	if spec.Where == nil {
 		return spec.Condition
@@ -834,16 +826,24 @@ func (r *Rule) Notify(occ *event.Occurrence, ctx detector.Context) {
 
 	// Parent: the transaction the occurrence was signalled under. If it
 	// was a rule's subtransaction, this is a nested triggering: the new
-	// rule becomes a child subtransaction and its effective priority
-	// derives from the triggering rule's (depth-first execution).
+	// rule becomes a child subtransaction, its effective priority derives
+	// from the triggering rule's (depth-first execution), and it belongs to
+	// the same family, so whichever drain runs the parent also runs it.
 	m.mu.Lock()
 	parentTask := m.running[occ.Txn]
 	m.mu.Unlock()
 	var prio sched.Path
+	var family uint64
 	if parentTask != nil {
 		prio = parentTask.Priority.Child(r.priority)
+		family = parentTask.Family
 	} else {
 		prio = sched.Path{r.priority}
+		// A triggering whose family has already finished (a rule on
+		// commitTransaction, say) belongs to no family.
+		if tx := m.txns.Lookup(occ.Txn); tx != nil && tx.Root().Status() == txn.Active {
+			family = tx.Root().ID()
+		}
 	}
 	// Cascade limit: a rule storm (rules triggering rules) is shed here,
 	// before the task exists, so the scheduler never sees unbounded depth.
@@ -854,7 +854,7 @@ func (r *Rule) Notify(occ *event.Occurrence, ctx detector.Context) {
 		m.reportError(r.name, fmt.Errorf("%w (depth %d, limit %d)", ErrCascadeShed, len(prio), max))
 		return
 	}
-	task := &sched.Task{Rule: r.name, Priority: prio}
+	task := &sched.Task{Rule: r.name, Priority: prio, Family: family}
 	task.Run = func(t *sched.Task) { m.execute(r, occ, ctx, t) }
 	m.sched.Enqueue(task)
 }
@@ -984,21 +984,17 @@ func (m *Manager) runBody(r *Rule, exec *Execution) (ran bool, err error) {
 	ok := true
 	if r.cond != nil {
 		m.det.SetMasked(true)
-		if m.SnapshotConditions {
-			// Lock-free condition evaluation: reads see a snapshot of
-			// committed state plus the triggering family's own writes, so
-			// the condition neither blocks on nor blocks the commit
-			// pipeline. The snapshot lives exactly as long as the
-			// evaluation; the deferred release keeps a panicking condition
-			// from pinning the GC horizon forever.
-			func() {
-				release, _ := exec.Txn.UseSnapshot()
-				defer release()
-				ok = r.cond(exec)
-			}()
-		} else {
+		// Lock-free condition evaluation: reads see a snapshot of committed
+		// state plus the triggering family's own writes, so the condition
+		// neither blocks on nor blocks the commit pipeline, and it is
+		// read-only (a write gets txn.ErrReadOnly). The snapshot lives
+		// exactly as long as the evaluation; the deferred release keeps a
+		// panicking condition from pinning the GC horizon forever.
+		func() {
+			release, _ := exec.Txn.UseSnapshot()
+			defer release()
 			ok = r.cond(exec)
-		}
+		}()
 		m.det.SetMasked(false)
 	}
 	var actErr error

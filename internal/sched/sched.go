@@ -21,6 +21,11 @@
 // rather than blocking, which both bounds drain latency and makes nested
 // scheduling points (a rule action invoking a method re-enters Drain on a
 // pool worker) deadlock-free by construction.
+//
+// Every task belongs to the transaction family that triggered it. A
+// transaction's scheduling point (DrainFamily) runs only its own family's
+// tasks and, at top level, waits for those another goroutine picked up,
+// so concurrent applications neither run nor outwait each other's rules.
 package sched
 
 import (
@@ -80,6 +85,10 @@ type Task struct {
 	Rule string
 	// Priority is the task's effective priority path.
 	Priority Path
+	// Family is the id of the top-level transaction whose family
+	// triggered the task; DrainFamily selects on it. Tasks of family 0
+	// (no live transaction) run at every scheduling point.
+	Family uint64
 	// Run executes the rule (condition + action in a subtransaction). It
 	// receives the task so nested triggerings can derive child paths.
 	Run func(t *Task)
@@ -95,9 +104,13 @@ type Task struct {
 // Scheduler executes tasks with a persistent work-stealing worker pool per
 // priority class. The zero value is not usable; call New.
 type Scheduler struct {
-	mu      sync.Mutex
-	queue   []*Task
-	workers int
+	mu    sync.Mutex
+	queue []*Task
+	// unfinished counts each family's tasks that are queued or running;
+	// finished (on mu) is broadcast whenever a family's count drops to 0.
+	unfinished map[uint64]int
+	finished   *sync.Cond
+	workers    int
 	// Serial forces one-at-a-time execution even within a priority class,
 	// for the prioritized-serial execution mode.
 	Serial bool
@@ -132,7 +145,8 @@ func New(workers int) *Scheduler {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &Scheduler{workers: workers, shards: make([][]*Task, workers)}
+	s := &Scheduler{workers: workers, shards: make([][]*Task, workers), unfinished: map[uint64]int{}}
+	s.finished = sync.NewCond(&s.mu)
 	s.pcond = sync.NewCond(&s.pmu)
 	return s
 }
@@ -145,6 +159,7 @@ func (s *Scheduler) Enqueue(t *Task) {
 	}
 	s.mu.Lock()
 	s.queue = append(s.queue, t)
+	s.unfinished[t.Family]++
 	s.mu.Unlock()
 }
 
@@ -159,15 +174,47 @@ func (s *Scheduler) Pending() int {
 // shards.
 func (s *Scheduler) Steals() uint64 { return s.steals.Load() }
 
-// Drain runs tasks until the queue is empty: this is the scheduling point
-// at which the paper suspends the main application. Each round takes the
-// most urgent priority class, runs all its tasks (concurrently on the
-// worker pool, or serially in Serial mode), waits for them — including
-// any deeper tasks they spawned, which outrank them — and repeats.
+// Drain runs tasks of every family until the queue is empty. Each round
+// takes the most urgent priority class, runs all its tasks (concurrently
+// on the worker pool, or serially in Serial mode), waits for them —
+// including any deeper tasks they spawned, which outrank them — and
+// repeats. Points that belong to no one transaction (the clock, log
+// replay, shutdown) use it.
 func (s *Scheduler) Drain() {
 	s.drains.Add(1)
-	s.drainAbove(nil)
+	s.drainAbove(nil, scope{all: true})
 }
+
+// DrainFamily is a transaction's scheduling point, at which the paper
+// suspends the application: it runs the queued tasks of one family as
+// Drain does and never touches another family's. With wait set (a
+// top-level point) it then blocks until none of the family's tasks is
+// queued or running, since another goroutine's Drain may have taken some.
+// A nested point (a rule action invoking under its own subtransaction)
+// must not wait: the family's running tasks include the caller's own.
+func (s *Scheduler) DrainFamily(family uint64, wait bool) {
+	s.drains.Add(1)
+	s.drainAbove(nil, scope{family: family})
+	if !wait {
+		return
+	}
+	// Whoever runs a family's task also runs the tasks it triggers (they
+	// belong to the same family), so the count reaches zero without help.
+	s.mu.Lock()
+	for s.unfinished[family] > 0 {
+		s.finished.Wait()
+	}
+	s.mu.Unlock()
+}
+
+// scope selects the tasks a drain may take: all of them, or one family's
+// plus those of no family.
+type scope struct {
+	all    bool
+	family uint64
+}
+
+func (sc scope) has(t *Task) bool { return sc.all || t.Family == sc.family || t.Family == 0 }
 
 // Close shuts the worker pool down and waits for the workers to exit.
 // Call it after the final Drain; it is idempotent. A Drain after Close
@@ -185,14 +232,14 @@ func (s *Scheduler) Close() {
 	s.workerWG.Wait()
 }
 
-// drainAbove runs every queued task whose priority strictly outranks
-// floor; a nil floor means run everything. Nested tasks always outrank
-// their spawner (their path extends it), so recursion on the spawner's
-// path yields depth-first execution without ever dipping below the
-// in-progress class.
-func (s *Scheduler) drainAbove(floor Path) {
+// drainAbove runs every queued task in scope whose priority strictly
+// outranks floor; a nil floor means run everything in scope. Nested tasks
+// always outrank their spawner (their path extends it), so recursion on
+// the spawner's path yields depth-first execution without ever dipping
+// below the in-progress class.
+func (s *Scheduler) drainAbove(floor Path, sc scope) {
 	for {
-		batch := s.takeTopClassAbove(floor)
+		batch := s.takeTopClassAbove(floor, sc)
 		if len(batch) == 0 {
 			return
 		}
@@ -200,7 +247,7 @@ func (s *Scheduler) drainAbove(floor Path) {
 			for _, t := range batch {
 				s.runOne(t)
 				// Deeper tasks spawned by t run before t's siblings.
-				s.drainAbove(t.Priority)
+				s.drainAbove(t.Priority, sc)
 			}
 			continue
 		}
@@ -335,6 +382,12 @@ func (s *Scheduler) runOne(t *Task) {
 	}
 	s.mu.Lock()
 	s.Ran++
+	if n := s.unfinished[t.Family] - 1; n > 0 {
+		s.unfinished[t.Family] = n
+	} else {
+		delete(s.unfinished, t.Family)
+		s.finished.Broadcast()
+	}
 	s.mu.Unlock()
 }
 
@@ -361,7 +414,7 @@ func (s *Scheduler) RegisterMetrics(r *obs.Registry) {
 			return s.Ran
 		})
 	r.CounterFunc("sentinel_sched_drains_total",
-		"Scheduling points (Drain calls) that ran the queue to empty.",
+		"Scheduling points (Drain and DrainFamily calls) that ran their tasks to empty.",
 		s.drains.Load)
 	r.CounterFunc("sentinel_sched_class_drains_total",
 		"Priority classes drained (batches of equal-priority tasks taken).",
@@ -371,16 +424,16 @@ func (s *Scheduler) RegisterMetrics(r *obs.Registry) {
 		s.steals.Load)
 }
 
-// takeTopClassAbove removes and returns every queued task belonging to the
-// most urgent priority class that strictly outranks floor. Enqueue order
-// within the class is preserved.
-func (s *Scheduler) takeTopClassAbove(floor Path) []*Task {
+// takeTopClassAbove removes and returns every queued task in scope
+// belonging to the most urgent priority class that strictly outranks
+// floor. Enqueue order within the class is preserved.
+func (s *Scheduler) takeTopClassAbove(floor Path, sc scope) []*Task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var top Path
 	found := false
 	for _, t := range s.queue {
-		if floor != nil && !floor.Less(t.Priority) {
+		if !sc.has(t) || floor != nil && !floor.Less(t.Priority) {
 			continue
 		}
 		if !found || top.Less(t.Priority) {
@@ -395,7 +448,7 @@ func (s *Scheduler) takeTopClassAbove(floor Path) []*Task {
 	var batch []*Task
 	rest := s.queue[:0]
 	for _, t := range s.queue {
-		if t.Priority.Equal(top) {
+		if sc.has(t) && t.Priority.Equal(top) {
 			batch = append(batch, t)
 		} else {
 			rest = append(rest, t)

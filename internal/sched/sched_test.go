@@ -207,3 +207,57 @@ func TestQuickSerialOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDrainFamilyScope: a family's scheduling point runs its own tasks and
+// those of no family, never another family's, and at top level it returns
+// only once its task that another goroutine's Drain took has finished.
+func TestDrainFamilyScope(t *testing.T) {
+	s := New(2)
+	defer s.Close()
+	var ran sync.Map
+	add := func(name string, family uint64, run func()) {
+		s.Enqueue(&Task{Rule: name, Priority: Path{0}, Family: family, Run: func(*Task) {
+			if run != nil {
+				run()
+			}
+			ran.Store(name, true)
+		}})
+	}
+	add("own", 1, nil)
+	add("orphan", 0, nil)
+	add("other", 2, nil)
+	s.DrainFamily(1, true)
+	for name, want := range map[string]bool{"own": true, "orphan": true, "other": false} {
+		if _, got := ran.Load(name); got != want {
+			t.Fatalf("%s ran = %v, want %v", name, got, want)
+		}
+	}
+
+	// Family 1's task is taken by a Drain on another goroutine and blocks
+	// there; the family's top-level point must wait for it.
+	release, started := make(chan struct{}), make(chan struct{})
+	add("held", 1, func() { close(started); <-release })
+	drained := make(chan struct{})
+	go func() {
+		s.Drain()
+		close(drained)
+	}()
+	<-started
+	returned := make(chan struct{})
+	go func() {
+		s.DrainFamily(1, true)
+		close(returned)
+	}()
+	s.DrainFamily(1, false) // a nested point does not wait
+	select {
+	case <-returned:
+		t.Fatal("top-level DrainFamily returned while its family's task was running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-returned
+	<-drained
+	if _, ok := ran.Load("held"); !ok {
+		t.Fatal("held task did not finish before DrainFamily returned")
+	}
+}

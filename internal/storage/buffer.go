@@ -15,9 +15,10 @@ var ErrPoolFull = errors.New("storage: buffer pool full (all frames pinned)")
 //
 // The latch serializes access to the page contents: Fetch and NewPage
 // return with it held, Unpin releases it. The shard mutex covers only the
-// table/LRU bookkeeping (pins, dirty, residency), never page contents, so
-// page I/O and record edits on different pages proceed in parallel even
-// within one shard.
+// table/LRU bookkeeping (pins, dirty, cleanLSN, residency), never page
+// contents, so page I/O and record edits on different pages proceed in
+// parallel even within one shard. A goroutine holding a latch may take
+// the shard mutex, never the reverse.
 //
 // Invariant: only a goroutine that has pinned a frame may latch it, so an
 // unpinned frame's latch is always free — eviction (which only considers
@@ -35,8 +36,8 @@ type frame struct {
 	// the log position when it materialized. It is the frame's recovery
 	// LSN for fuzzy checkpoints: any log record that dirtied the frame
 	// after that moment has LSN > cleanLSN, so redo from min(cleanLSN over
-	// dirty frames) covers every unpersisted change. Guarded like dirty:
-	// shard mutex or latch+pin.
+	// dirty frames) covers every unpersisted change. Guarded, like dirty,
+	// by the shard mutex alone.
 	cleanLSN uint64
 }
 
@@ -260,7 +261,7 @@ func (sh *poolShard) newFrameLocked(b *BufferPool) (*frame, error) {
 	victimID := elem.Value.(PageID)
 	victim := sh.frames[victimID]
 	if victim.dirty {
-		if err := b.writeBack(victim); err != nil {
+		if _, err := b.writeBack(victim); err != nil {
 			return nil, err
 		}
 	}
@@ -269,25 +270,27 @@ func (sh *poolShard) newFrameLocked(b *BufferPool) (*frame, error) {
 	victim.lruElem = nil
 	victim.pins = 0
 	victim.dirty = false
+	victim.cleanLSN = 0
 	return victim, nil
 }
 
-// writeBack flushes one dirty frame, honouring the WAL rule. The caller
-// must hold either the frame's shard mutex (eviction) or the frame's latch
-// plus a pin (FlushAll) — both exclude any concurrent content writer.
-func (b *BufferPool) writeBack(fr *frame) error {
+// writeBack writes one frame's page to disk, honouring the WAL rule, and
+// returns the page LSN it wrote. The caller must hold either the frame's
+// shard mutex with the frame unpinned (eviction) or the frame's latch
+// plus a pin (FlushAll) — both exclude any concurrent content writer —
+// and records the frame clean under the shard mutex.
+func (b *BufferPool) writeBack(fr *frame) (uint64, error) {
+	lsn := fr.page.LSN()
 	if b.flushLog != nil {
-		if err := b.flushLog(fr.page.LSN()); err != nil {
-			return err
+		if err := b.flushLog(lsn); err != nil {
+			return 0, err
 		}
 	}
 	if err := b.disk.WritePage(&fr.page); err != nil {
-		return err
+		return 0, err
 	}
-	fr.dirty = false
-	fr.cleanLSN = fr.page.LSN()
 	b.writes.Add(1)
-	return nil
+	return lsn, nil
 }
 
 // FlushAll writes every dirty page back to disk (used by checkpointing and
@@ -324,9 +327,19 @@ func (b *BufferPool) flushOne(sh *poolShard, id PageID) error {
 	sh.mu.Unlock()
 
 	fr.latch.Lock()
+	sh.mu.Lock()
+	dirty := fr.dirty // may have been written back while we waited
+	sh.mu.Unlock()
 	var err error
-	if fr.dirty { // may have been written back while we waited
-		err = b.writeBack(fr)
+	if dirty {
+		var lsn uint64
+		if lsn, err = b.writeBack(fr); err == nil {
+			// No content writer ran since dirty was read: we hold the latch.
+			sh.mu.Lock()
+			fr.dirty = false
+			fr.cleanLSN = lsn
+			sh.mu.Unlock()
+		}
 	}
 	fr.latch.Unlock()
 
@@ -341,45 +354,19 @@ func (b *BufferPool) flushOne(sh *poolShard, id PageID) error {
 
 // DirtyPages collects the dirty-page table for a fuzzy checkpoint: every
 // currently-dirty resident page mapped to its recovery LSN (the frame's
-// cleanLSN). Each frame is pinned and latched for its reading, like
-// flushOne, so the walk synchronizes with content writers without holding
-// any shard mutex across a latch wait. The collection is fuzzy by design —
-// pages dirtied after their frame is visited are covered by the
-// checkpoint-record LSN bound, not the table.
+// cleanLSN), read under each shard mutex. A change the walk misses is
+// logged above the checkpoint record, or its writer has not unpinned the
+// page yet, so has not committed and its active-table entry bounds redo.
 func (b *BufferPool) DirtyPages() map[PageID]uint64 {
 	out := make(map[PageID]uint64)
 	for _, sh := range b.shards {
 		sh.mu.Lock()
-		ids := make([]PageID, 0, len(sh.frames))
 		for id, fr := range sh.frames {
 			if fr.dirty && !fr.loading {
-				ids = append(ids, id)
+				out[id] = fr.cleanLSN
 			}
 		}
 		sh.mu.Unlock()
-		for _, id := range ids {
-			sh.mu.Lock()
-			fr, ok := sh.frames[id]
-			if !ok || fr.loading {
-				sh.mu.Unlock()
-				continue
-			}
-			sh.pinLocked(fr)
-			sh.mu.Unlock()
-
-			fr.latch.Lock()
-			if fr.dirty {
-				out[id] = fr.cleanLSN
-			}
-			fr.latch.Unlock()
-
-			sh.mu.Lock()
-			fr.pins--
-			if fr.pins == 0 {
-				fr.lruElem = sh.lru.PushBack(id)
-			}
-			sh.mu.Unlock()
-		}
 	}
 	return out
 }

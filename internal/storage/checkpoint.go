@@ -153,7 +153,7 @@ func (s *Store) Checkpoint() error {
 		return err
 	}
 	// The checkpoint record is the fuzziness bound: everything the two
-	// table walks below race with is ordered (by page latch or txn-shard
+	// table walks below race with is ordered (by shard mutex or txn-shard
 	// mutex) after this append, hence above this LSN.
 	b, err := s.wal.Append(&LogRecord{Type: RecCheckpoint, Active: s.ActiveTxns()})
 	if err != nil {

@@ -139,18 +139,8 @@ type Options struct {
 	Dir string
 	// PoolSize is the buffer pool size in pages (default 64).
 	PoolSize int
-	// PoolShards is the buffer pool's lock-stripe count (0 = default,
-	// min(8, PoolSize)). Negative values are rejected by Open.
-	PoolShards int
 	// SyncWAL fsyncs the log on every flush (durable, slower).
 	SyncWAL bool
-	// GroupCommitInterval widens the group-commit batching window: the WAL
-	// flusher waits this long after waking before forcing a commit batch,
-	// trading single-commit latency for fewer fsyncs under load. 0 (the
-	// default) forces as soon as the flusher is free — concurrent
-	// committers still batch naturally. Negative values are rejected by
-	// Open.
-	GroupCommitInterval time.Duration
 	// Workers bounds concurrent rule execution within a priority class
 	// (default 4).
 	Workers int
@@ -162,10 +152,6 @@ type Options struct {
 	// address for a single server, several for a partitioned cluster
 	// where event names are routed to instances by ged.PartitionOf.
 	GEDAddrs []string
-	// GEDBatch, when > 1, batches ShareEvent forwarding: up to GEDBatch
-	// occurrences are coalesced into one contribute frame. Call
-	// FlushGlobalEvents to push out a partial batch (Close does).
-	GEDBatch int
 	// LockTimeout bounds lock waits (0 = wait forever; deadlocks are
 	// still detected and broken). Negative values are rejected by Open.
 	// It becomes lockmgr.Manager.DefaultTimeout — the bound every Lock
@@ -190,19 +176,6 @@ type Options struct {
 	// /debugz (metrics snapshot + event-graph DOT export) on that address
 	// (e.g. "localhost:6060"; ":0" picks a free port — see DebugAddr()).
 	DebugAddr string
-	// SnapshotConditions controls whether rule conditions evaluate against
-	// an MVCC snapshot of the triggering transaction instead of taking
-	// shared locks. 0 means the default (on); -1 turns it off; 1 forces it
-	// on; other values are rejected by Open. While a condition runs under a
-	// snapshot it is read-only — writes from condition code return
-	// txn.ErrReadOnly.
-	SnapshotConditions int
-	// VersionGCInterval is the period of the storage layer's background
-	// version garbage collector, which reclaims MVCC undo chains older
-	// than the oldest live snapshot. 0 means the storage default (1s);
-	// -1 disables the background pass (Checkpoint still collects); other
-	// negatives are rejected by Open.
-	VersionGCInterval time.Duration
 	// ReplAddr, when set, makes this database a replication leader: it
 	// serves its write-ahead log to followers on that address (":0" picks
 	// a free port — see ReplAddr()). Requires Dir.
@@ -220,20 +193,19 @@ type Options struct {
 // application process in the paper's architecture, with its own local
 // composite event detector.
 type Database struct {
-	opts     Options
-	store    *storage.Store
-	locks    *lockmgr.Manager
-	txns     *txn.Manager
-	det      *detector.Detector
-	sched    *sched.Scheduler
-	rules    *rules.Manager
-	objects  *object.Registry
-	queries  *query.Manager
-	comp     *snoop.Compiler
-	gedCli   ged.Bus
-	gedFwd   detector.Subscriber
-	gedFlush func() error
-	metrics  *obs.Registry
+	opts    Options
+	store   *storage.Store
+	locks   *lockmgr.Manager
+	txns    *txn.Manager
+	det     *detector.Detector
+	sched   *sched.Scheduler
+	rules   *rules.Manager
+	objects *object.Registry
+	queries *query.Manager
+	comp    *snoop.Compiler
+	gedCli  ged.Bus
+	gedFwd  detector.Subscriber
+	metrics *obs.Registry
 
 	replSrv  *repl.Server
 	replFol  *repl.Follower
@@ -271,20 +243,8 @@ func validateOptions(opts Options) error {
 	if opts.PoolSize < 0 {
 		return fmt.Errorf("sentinel: PoolSize must be >= 0, got %d", opts.PoolSize)
 	}
-	if opts.PoolShards < 0 {
-		return fmt.Errorf("sentinel: PoolShards must be >= 0, got %d", opts.PoolShards)
-	}
-	if opts.GroupCommitInterval < 0 {
-		return fmt.Errorf("sentinel: GroupCommitInterval must be >= 0, got %v", opts.GroupCommitInterval)
-	}
 	if opts.Workers < 0 {
 		return fmt.Errorf("sentinel: Workers must be >= 0, got %d", opts.Workers)
-	}
-	if opts.SnapshotConditions < -1 || opts.SnapshotConditions > 1 {
-		return fmt.Errorf("sentinel: SnapshotConditions must be -1, 0 or 1, got %d", opts.SnapshotConditions)
-	}
-	if opts.VersionGCInterval < 0 && opts.VersionGCInterval != -1 {
-		return fmt.Errorf("sentinel: VersionGCInterval must be >= 0 or -1, got %v", opts.VersionGCInterval)
 	}
 	if opts.ReplAddr != "" && opts.ReplicaOf != "" {
 		return errors.New("sentinel: set ReplAddr or ReplicaOf, not both")
@@ -320,13 +280,10 @@ func Open(opts Options) (*Database, error) {
 	if opts.Dir != "" {
 		var err error
 		store, err = storage.Open(storage.Options{
-			Dir:                 opts.Dir,
-			PoolSize:            opts.PoolSize,
-			PoolShards:          opts.PoolShards,
-			SyncWAL:             opts.SyncWAL,
-			GroupCommitInterval: opts.GroupCommitInterval,
-			VersionGCInterval:   opts.VersionGCInterval,
-			Follower:            opts.ReplicaOf != "",
+			Dir:      opts.Dir,
+			PoolSize: opts.PoolSize,
+			SyncWAL:  opts.SyncWAL,
+			Follower: opts.ReplicaOf != "",
 		})
 		if err != nil {
 			return nil, err
@@ -346,7 +303,6 @@ func Open(opts Options) (*Database, error) {
 	rm.RetryMax = opts.RuleRetries
 	rm.RetryBackoff = opts.RuleRetryBackoff
 	rm.MaxCascade = opts.MaxCascadeDepth
-	rm.SnapshotConditions = opts.SnapshotConditions >= 0
 	objects := object.NewRegistry(det, store)
 	// The query engine maintains its secondary indexes through the object
 	// layer's mutation hook and answers declarative rule conditions
@@ -402,11 +358,11 @@ func Open(opts Options) (*Database, error) {
 		faults.Injected)
 	// Transaction system events feed the detector; pre-commit is the
 	// scheduling point for deferred rules (they must finish before the
-	// commit proceeds).
+	// commit proceeds). Only top-level transactions signal it.
 	txns.SetListener(func(name string, id uint64) {
 		det.SignalTxn(name, id)
 		if name == event.PreCommit {
-			s.Drain()
+			s.DrainFamily(id, true)
 		}
 	})
 	// A follower replicates the leader's catalog (including its boot
@@ -501,11 +457,7 @@ func Open(opts Options) (*Database, error) {
 			return nil, err
 		}
 		db.gedCli = bus
-		if opts.GEDBatch > 1 {
-			db.gedFwd, db.gedFlush = bus.BatchForwarder(opts.GEDBatch)
-		} else {
-			db.gedFwd = bus.Forwarder()
-		}
+		db.gedFwd = bus.Forwarder()
 	}
 	if opts.DebugAddr != "" {
 		ln, err := net.Listen("tcp", opts.DebugAddr)
@@ -535,9 +487,6 @@ func (db *Database) closeInternals() {
 		db.replSrv = nil
 	}
 	if db.gedCli != nil {
-		if db.gedFlush != nil {
-			_ = db.gedFlush()
-		}
 		_ = db.gedCli.Flush()
 		_ = db.gedCli.Close()
 	}
@@ -575,7 +524,7 @@ func (db *Database) Begin() (*Txn, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.sched.Drain() // rules on beginTransaction
+	db.schedPoint(t) // rules on beginTransaction
 	t.OnFinish(func(txn.Status) {
 		db.det.FlushTxns(t.FamilyIDs())
 	})
@@ -583,7 +532,7 @@ func (db *Database) Begin() (*Txn, error) {
 }
 
 // ErrReadOnly is returned by write operations on a snapshot transaction
-// (or inside a rule condition running under SnapshotConditions).
+// (or inside a rule condition, which always reads through a snapshot).
 var ErrReadOnly = txn.ErrReadOnly
 
 // BeginSnapshot starts a read-only snapshot transaction: it observes the
@@ -710,8 +659,24 @@ func (db *Database) Resolve(tx *Txn, name string) (OID, error) {
 // scheduling point, as in the paper).
 func (db *Database) Invoke(tx *Txn, obj *Instance, method string, args ...any) (any, error) {
 	out, err := db.objects.Invoke(tx, obj, method, args...)
-	db.sched.Drain()
+	db.schedPoint(tx)
 	return out, err
+}
+
+// schedPoint suspends the caller until the rules its call triggered have
+// run. Under a top-level transaction it runs and waits for that family's
+// tasks only. Under a rule's subtransaction it runs the family's queued
+// tasks without waiting, since the family's running tasks include the
+// caller's own. Without a transaction it drains every queued task.
+func (db *Database) schedPoint(tx *Txn) {
+	switch {
+	case tx == nil:
+		db.sched.Drain()
+	case tx.IsNested():
+		db.sched.DrainFamily(tx.Root().ID(), false)
+	default:
+		db.sched.DrainFamily(tx.ID(), true)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -764,7 +729,7 @@ func (db *Database) RaiseEvent(tx *Txn, name string, params ParamList) error {
 	if err := db.det.SignalExplicit(name, params, id); err != nil {
 		return err
 	}
-	db.sched.Drain()
+	db.schedPoint(tx)
 	return nil
 }
 
@@ -885,17 +850,11 @@ func (db *Database) ShareEvent(name string) error {
 	return err
 }
 
-// FlushGlobalEvents pushes out any batched shared events (GEDBatch > 1)
-// and then blocks until the GED has acknowledged every contribution sent
-// so far — the durability barrier for shared events.
+// FlushGlobalEvents blocks until the GED has acknowledged every
+// contribution sent so far — the durability barrier for shared events.
 func (db *Database) FlushGlobalEvents() error {
 	if db.gedCli == nil {
 		return ErrNoGED
-	}
-	if db.gedFlush != nil {
-		if err := db.gedFlush(); err != nil {
-			return err
-		}
 	}
 	return db.gedCli.Flush()
 }
